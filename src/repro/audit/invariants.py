@@ -25,15 +25,23 @@ a property the paper (or the transport contract) promises is broken:
 Checkers are deliberately *stream-only*: they reconstruct sender-side
 knowledge purely from the events (see :class:`AckKnowledge`), so the
 same code audits a live run and an offline trace replay identically.
+
+Every checker declares the record kinds its ``observe`` reads in
+``kinds``, a frozenset of kind strings.  The auditor routes each record
+only to the checkers that declared its kind: a record of an undeclared
+kind is never delivered, so a checker that reads a kind it did not
+declare silently misses it.  ``kinds = None`` (the base-class default)
+means every kind, which keeps custom checkers working unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.telemetry.schema import (
     EV_CHAOS_CLONE,
+    EV_FLOW_COMPLETE,
     EV_HALFBACK_FRONTIER,
     EV_HALFBACK_PHASE,
     EV_LINK_LOSS,
@@ -90,9 +98,17 @@ class Violation:
 
 
 class Checker:
-    """Base class: observe records, emit violations, finalize at EOF."""
+    """Base class: observe records, emit violations, finalize at EOF.
+
+    ``kinds`` names the record kinds :meth:`observe` reads.  Records of
+    any other kind are never delivered to it; None (the default) means
+    every kind.  :meth:`attach` and :meth:`detach` bracket a live run on
+    a trace recorder, for checkers that take shared derived state from
+    it instead of rebuilding that state themselves.
+    """
 
     name = "base"
+    kinds: Optional[FrozenSet[str]] = None
 
     def observe(self, record) -> List[Violation]:
         """Process one record; return any violations it exposes."""
@@ -101,6 +117,12 @@ class Checker:
     def finalize(self) -> List[Violation]:
         """End-of-stream hook for checks that need the full run."""
         return []
+
+    def attach(self, trace) -> None:
+        """The auditor starts observing the live recorder ``trace``."""
+
+    def detach(self, trace) -> None:
+        """The auditor stops observing ``trace``."""
 
 
 # ======================================================================
@@ -128,6 +150,8 @@ class AckKnowledge(Checker):
     """
 
     name = "ack-knowledge"
+    kinds = frozenset({EV_PKT_SEND, EV_CHAOS_CLONE, EV_PKT_DELIVER,
+                       EV_LINK_LOSS, EV_QUEUE_DROP, EV_SENDER_DONE})
 
     def __init__(self) -> None:
         # ACK uid -> (flow, cumulative ack, sack ranges, destination).
@@ -201,6 +225,7 @@ class AckMonotonicityChecker(Checker):
     """Cumulative ACKs never regress; new data goes out in order."""
 
     name = "seq-ack-monotonicity"
+    kinds = frozenset({EV_PKT_ACK_GEN, EV_PKT_SEND, EV_SENDER_DONE})
 
     def __init__(self) -> None:
         self._last_ack: Dict[int, int] = {}
@@ -248,6 +273,8 @@ class ConservationChecker(Checker):
     """
 
     name = "packet-conservation"
+    kinds = frozenset({EV_PKT_ENQUEUE, EV_PKT_TX, EV_PKT_DELIVER,
+                       EV_LINK_LOSS})
 
     def __init__(self) -> None:
         self._queued: Dict[str, Set[int]] = {}
@@ -311,6 +338,7 @@ class PacingChecker(Checker):
     """
 
     name = "pacing-evenness"
+    kinds = frozenset({EV_HALFBACK_PHASE, EV_PKT_SEND})
     TOLERANCE = 0.3
 
     def __init__(self) -> None:
@@ -392,6 +420,8 @@ class RoprOrderChecker(Checker):
     """
 
     name = "ropr-order"
+    kinds = frozenset({EV_PKT_SEND, EV_HALFBACK_PHASE,
+                       EV_HALFBACK_FRONTIER})
 
     def __init__(self) -> None:
         self._order: Dict[int, str] = {}
@@ -448,6 +478,7 @@ class NeverRetransmitAckedChecker(Checker):
     """No data segment is sent after the sender saw it ACKed (§3.2)."""
 
     name = "ropr-never-acked"
+    kinds = frozenset({EV_PKT_SEND})
 
     def __init__(self, knowledge: AckKnowledge) -> None:
         self._knowledge = knowledge
@@ -481,6 +512,8 @@ class FrontierMeetChecker(Checker):
     """
 
     name = "frontier-meet"
+    kinds = frozenset({EV_HALFBACK_FRONTIER, EV_SENDER_RTO, EV_HALFBACK_PHASE,
+                       EV_SENDER_DONE})
 
     def __init__(self, knowledge: AckKnowledge) -> None:
         self._knowledge = knowledge
@@ -539,6 +572,7 @@ class RtoSanityChecker(Checker):
     """Timeout counters advance by one; nothing fires after completion."""
 
     name = "rto-sanity"
+    kinds = frozenset({EV_SENDER_DONE, EV_SENDER_RTO, EV_SENDER_RECOVERY})
 
     def __init__(self) -> None:
         self._done: Set[int] = set()
@@ -586,12 +620,19 @@ class FctConservationChecker(Checker):
 
     :class:`repro.obs.spans.FlowSpanBuilder` partitions every completed
     flow's ``[flow.start, flow.complete]`` window into named components;
-    this checker runs a builder over the audited stream and flags any
-    flow whose components do not sum back to its FCT within float
+    this checker judges each completed breakdown and flags any flow
+    whose components do not sum back to its FCT within float
     tolerance — either a builder classification hole or an emitter
     breaking the lineage contract the attribution rests on.  The
     ``fct`` detail on ``flow.complete`` is cross-checked against the
     observed window too.
+
+    Offline (replay, direct feeding) the checker runs a private builder
+    over the records it observes, so ``kinds`` is the builder's.  On a
+    live recorder it subscribes to the recorder's shared builder
+    instead (:func:`repro.obs.spans.subscribe`), which every breakdown
+    session reads too; breakdowns complete only on ``flow.complete``,
+    so that is then the one kind it reads, to report on that record.
     """
 
     name = "fct-conservation"
@@ -603,7 +644,22 @@ class FctConservationChecker(Checker):
 
         self._tolerance = CONSERVATION_TOLERANCE
         self._queued: List[Violation] = []
-        self._builder = FlowSpanBuilder(on_complete=self._judge)
+        self._builder: Optional[Any] = FlowSpanBuilder(on_complete=self._judge)
+        self.kinds = FlowSpanBuilder.kinds
+
+    def attach(self, trace) -> None:
+        from repro.obs.spans import subscribe
+
+        # The shared builder observes ``trace`` ahead of the auditor, so
+        # a breakdown is judged before its flow.complete reaches us.
+        subscribe(trace, self._judge)
+        self._builder = None
+        self.kinds = frozenset({EV_FLOW_COMPLETE})
+
+    def detach(self, trace) -> None:
+        from repro.obs.spans import unsubscribe
+
+        unsubscribe(trace, self._judge)
 
     def _judge(self, breakdown) -> None:
         tolerance = self._tolerance * max(1.0, breakdown.fct)
@@ -628,7 +684,8 @@ class FctConservationChecker(Checker):
             ))
 
     def observe(self, record) -> List[Violation]:
-        self._builder.observe(record)
+        if self._builder is not None:
+            self._builder.observe(record)
         if not self._queued:
             return []
         queued, self._queued = self._queued, []

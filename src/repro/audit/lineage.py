@@ -29,10 +29,9 @@ from repro.telemetry.schema import (
     EV_LINK_LOSS,
     EV_PKT_ACK_GEN,
     EV_PKT_DELIVER,
-    EV_PKT_ENQUEUE,
     EV_PKT_SEND,
-    EV_PKT_TX,
     EV_QUEUE_DROP,
+    LINEAGE_EVENT_KINDS,
 )
 
 __all__ = ["HopEvent", "PacketSpan", "LineageTracer"]
@@ -100,6 +99,9 @@ class PacketSpan:
 class LineageTracer:
     """Builds packet spans and per-flow causal trees from the stream."""
 
+    #: The record kinds :meth:`observe` folds in; it ignores the rest.
+    kinds = LINEAGE_EVENT_KINDS | {EV_QUEUE_DROP, EV_LINK_LOSS}
+
     def __init__(self, max_spans: int = 200_000) -> None:
         if max_spans <= 0:
             raise ValueError("max_spans must be positive")
@@ -118,8 +120,7 @@ class LineageTracer:
     def observe(self, record) -> None:
         """Fold one trace record into the lineage state."""
         kind = record.kind
-        if not (kind.startswith("pkt.") or kind == EV_QUEUE_DROP
-                or kind == EV_LINK_LOSS or kind == EV_CHAOS_CLONE):
+        if kind not in self.kinds:
             return
         detail = record.detail
         uid = detail.get("uid")

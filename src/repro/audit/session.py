@@ -1,8 +1,9 @@
 """The auditor core and the ``AuditSession`` context manager.
 
 :class:`Auditor` ties the pieces together: every trace record is fed to
-the lineage tracer, the flight recorder's ring, and each invariant
-checker; a checker's violation gets its packet's causal chain attached
+the flight recorder's ring and to those of the lineage tracer and the
+invariant checkers that declared its kind (see ``Checker.kinds``); a
+checker's violation gets its packet's causal chain attached
 from the tracer and — the first time, when an output directory is
 configured — triggers the post-mortem bundle.  A ``sim.crash`` record
 triggers the bundle too, violations or not, so a crashed run leaves its
@@ -18,7 +19,7 @@ exit.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.audit.invariants import Checker, Violation, default_checkers
 from repro.audit.lineage import LineageTracer
@@ -62,29 +63,64 @@ class Auditor:
         self.violations: List[Violation] = []
         self.events_audited = 0
         self._finalized = False
-        # The same-timestamp event group currently executing, rendered
-        # from v5 ``sched.exec`` provenance stamps ("entity callback
-        # (seq N, parent M)").  Bounded: a post-mortem wants the local
-        # tie-break context, not an unbounded same-instant burst.
-        self._instant: List[str] = []
+        # kind -> the handlers that read it, in order: ring, lineage,
+        # instant group, then checkers in list order, crash dump last.
+        # Built on a kind's first record; reset when checkers re-attach.
+        self._routes: Dict[str, Tuple[Callable, ...]] = {}
+        # The same-timestamp group of ``sched.exec`` records currently
+        # executing.  Bounded: a post-mortem wants the local tie-break
+        # context, not an unbounded same-instant burst.  Rendered only
+        # when a post-mortem is written.
+        self._instant: List = []
+        self._instant_truncated = False
         self._instant_time: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Stream intake
     # ------------------------------------------------------------------
 
+    def attach(self, trace) -> None:
+        """Start auditing the live recorder ``trace``."""
+        for checker in self.checkers:
+            checker.attach(trace)
+        self._routes.clear()
+        trace.add_observer(self.observe)
+
+    def detach(self, trace) -> None:
+        """Stop auditing ``trace`` (:meth:`attach`'s inverse)."""
+        trace.remove_observer(self.observe)
+        for checker in self.checkers:
+            checker.detach(trace)
+        # The routes hold bound methods of this auditor: dropping them
+        # breaks the cycle, so a finished audit's spans are freed as
+        # soon as its session is, not at the next full collection.
+        self._routes.clear()
+
     def observe(self, record) -> None:
         """Audit one trace record (the observer callback)."""
         self.events_audited += 1
-        self.recorder.observe(record)
-        self.tracer.observe(record)
-        if record.kind == EV_SCHED_EXEC:
-            self._track_instant(record)
-        for checker in self.checkers:
-            for violation in checker.observe(record):
-                self._add(violation)
-        if record.kind == EV_SIM_CRASH:
-            self._dump(f"crash: {record.detail.get('error', '?')}")
+        kind = record.kind
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._route(kind)
+        for handler in route:
+            violations = handler(record)
+            if violations:
+                for violation in violations:
+                    self._add(violation)
+
+    def _route(self, kind: str) -> Tuple[Callable, ...]:
+        handlers: List[Callable] = [self.recorder.observe]
+        if kind in self.tracer.kinds:
+            handlers.append(self.tracer.observe)
+        if kind == EV_SCHED_EXEC:
+            handlers.append(self._track_instant)
+        handlers.extend(checker.observe for checker in self.checkers
+                        if checker.kinds is None or kind in checker.kinds)
+        if kind == EV_SIM_CRASH:
+            handlers.append(self._crashed)
+        route = self._routes[kind] = tuple(handlers)
+        return route
 
     def finalize(self) -> "Auditor":
         """Flush end-of-stream checks; idempotent.  Returns self."""
@@ -113,24 +149,38 @@ class Auditor:
         self._dump("violation")
 
     def _track_instant(self, record) -> None:
-        """Maintain the rendered group of events at the current instant."""
+        """Keep the group of ``sched.exec`` records at the current instant."""
         if record.time != self._instant_time:
             self._instant_time = record.time
-            self._instant = []
-        if len(self._instant) < MAX_INSTANT_GROUP:
+            self._instant = [record]
+            self._instant_truncated = False
+        elif len(self._instant) < MAX_INSTANT_GROUP:
+            self._instant.append(record)
+        else:
+            self._instant_truncated = True
+
+    def _instant_group(self) -> List[str]:
+        """The current instant group rendered from its provenance stamps
+        ("entity callback (seq N, parent M)")."""
+        lines = []
+        for record in self._instant:
             detail = record.detail
-            self._instant.append(
+            lines.append(
                 f"t={record.time:.9f} {record.source} "
                 f"{detail.get('callback', '?')} "
                 f"(seq {detail.get('seq')}, parent {detail.get('parent')})")
-        elif len(self._instant) == MAX_INSTANT_GROUP:
-            self._instant.append("  ... group truncated")
+        if self._instant_truncated:
+            lines.append("  ... group truncated")
+        return lines
+
+    def _crashed(self, record) -> None:
+        self._dump(f"crash: {record.detail.get('error', '?')}")
 
     def _dump(self, reason: str) -> None:
-        if self.out_dir is not None:
+        if self.out_dir is not None and not self.recorder.dumped:
             self.recorder.dump(self.out_dir, self.violations,
                                tracer=self.tracer, reason=reason,
-                               instant_group=list(self._instant))
+                               instant_group=self._instant_group())
 
     # ------------------------------------------------------------------
     # Results
@@ -205,13 +255,13 @@ class AuditSession:
         # Provenance events feed the scheduler-nondeterminism checker
         # and give post-mortems their same-instant group context.
         self._host_trace.provenance = True
-        self._host_trace.add_observer(self.auditor.observe)
+        self.auditor.attach(self._host_trace)
         return self
 
     def __exit__(self, *exc) -> None:
         trace = self._host_trace
         if trace is not None:
-            trace.remove_observer(self.auditor.observe)
+            self.auditor.detach(trace)
             trace.lineage = self._restore_lineage
             trace.provenance = self._restore_provenance
         if self._owns_context:

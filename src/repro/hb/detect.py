@@ -58,6 +58,8 @@ class SchedulerNondeterminismChecker(Checker):
     """Flag same-timestamp, same-entity event pairs with no HB path."""
 
     name = "scheduler-nondeterminism"
+    kinds = frozenset({EV_SCHED_EXEC, EV_PKT_TX, EV_PKT_DELIVER,
+                       EV_PKT_ACK_GEN})
 
     def __init__(self) -> None:
         self._time: Optional[float] = None

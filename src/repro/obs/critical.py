@@ -4,8 +4,8 @@
 :class:`~repro.obs.spans.FlowBreakdown`; this module turns *many* of
 them into the per-protocol time-in-component tables the ``--breakdown``
 flag prints, and provides the context-manager wiring
-(:class:`BreakdownSession`) that attaches a span builder to whatever
-trace recorder is ambient — the same composition pattern as
+(:class:`BreakdownSession`) that subscribes to the span builder of
+whatever trace recorder is ambient — the same composition pattern as
 :class:`repro.audit.AuditSession`.
 
 The aggregate state is per protocol, per component: a float running sum
@@ -27,7 +27,7 @@ from repro.obs.sketch import (
     QuantileSketch,
     canonical_json,
 )
-from repro.obs.spans import COMPONENTS, FlowBreakdown, FlowSpanBuilder
+from repro.obs.spans import COMPONENTS, FlowBreakdown, subscribe, unsubscribe
 from repro.sim.trace import TraceRecorder
 from repro.telemetry import context
 from repro.telemetry.hub import DEFAULT_MAX_RECORDS
@@ -323,26 +323,26 @@ def take_breakdown(flow_id: int) -> Optional[FlowBreakdown]:
 
 
 class BreakdownSession:
-    """Context manager attaching a span builder to the ambient trace.
+    """Context manager subscribing to the ambient trace's span builder.
 
     Mirrors :class:`repro.audit.AuditSession`: with a telemetry hub (or
-    audit session) active, the builder observes its recorder and lineage
-    is switched on for the duration; with nothing ambient the session
-    installs itself as a minimal hub carrying a ring-bounded recorder,
-    so ``--breakdown`` alone works without ``--telemetry``.
+    audit session) active, the session subscribes to its recorder's
+    shared span builder (:func:`~repro.obs.spans.subscribe`) and
+    lineage is switched on for the duration; with nothing ambient the
+    session installs itself as a minimal hub carrying a ring-bounded
+    recorder, so ``--breakdown`` alone works without ``--telemetry``.
+    However many sessions (and the audit's ``fct-conservation``
+    checker) nest on one recorder, one builder classifies its stream.
 
     Completed breakdowns land in two places: folded into the session's
     :class:`BreakdownAggregator` (``session.aggregate``), and parked in
     ``session.pending`` until the harness claims them per flow via
-    :func:`take_breakdown` (bounded by :data:`MAX_PENDING`).
+    :func:`take_breakdown` (bounded by :data:`MAX_PENDING`).  With
+    ``keep_spans`` they also carry their spans and collect in
+    ``session.completed``.
     """
 
-    def __init__(self, keep_spans: bool = False,
-                 focus_flow: Optional[int] = None,
-                 max_spans: int = 200_000) -> None:
-        self.builder = FlowSpanBuilder(
-            keep_spans=keep_spans, focus_flow=focus_flow,
-            max_spans=max_spans, on_complete=self._on_complete)
+    def __init__(self, keep_spans: bool = False) -> None:
         self.aggregate = BreakdownAggregator()
         self.pending: Dict[int, FlowBreakdown] = {}
         self.completed: List[FlowBreakdown] = []
@@ -374,7 +374,8 @@ class BreakdownSession:
             self._owns_context = True
         self._restore_lineage = self._host_trace.lineage
         self._host_trace.lineage = True
-        self._host_trace.add_observer(self.builder.observe)
+        subscribe(self._host_trace, self._on_complete,
+                  keep_spans=self.keep_spans)
         _sessions.append(self)
         return self
 
@@ -385,7 +386,7 @@ class BreakdownSession:
             _sessions.remove(self)
         trace = self._host_trace
         if trace is not None:
-            trace.remove_observer(self.builder.observe)
+            unsubscribe(trace, self._on_complete)
             trace.lineage = self._restore_lineage
         if self._owns_context:
             context.deactivate(self)

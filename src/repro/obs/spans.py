@@ -47,10 +47,17 @@ Components (one per interval, highest priority first):
 The builder never touches simulation state and keeps only in-flight
 packet state per live flow, so it is safe (and cheap) to attach as a
 trace observer on arbitrarily long runs.
+
+Live consumers share one builder per trace recorder: :func:`subscribe`
+attaches it on first use and fans each completed breakdown out to every
+subscriber (the ``fct-conservation`` audit checker, each nested
+:class:`~repro.obs.critical.BreakdownSession`), so a stream is
+classified once however many consumers read the result.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -76,6 +83,8 @@ __all__ = [
     "CONSERVATION_TOLERANCE",
     "FlowBreakdown",
     "FlowSpanBuilder",
+    "subscribe",
+    "unsubscribe",
 ]
 
 #: Canonical component order (report tables render in this order).
@@ -308,6 +317,14 @@ class FlowSpanBuilder:
         Called with each finished :class:`FlowBreakdown`.
     """
 
+    #: The record kinds :meth:`observe` reads; it returns on any other.
+    kinds = frozenset({
+        EV_FLOW_START, EV_FLOW_COMPLETE, EV_PKT_SEND, EV_PKT_ENQUEUE,
+        EV_PKT_TX, EV_PKT_DELIVER, EV_QUEUE_DROP, EV_LINK_LOSS,
+        EV_CHAOS_CLONE, EV_SENDER_ESTABLISHED, EV_SENDER_RECOVERY,
+        EV_SENDER_RTO, EV_HALFBACK_PHASE, EV_SENDER_FAILED,
+    })
+
     def __init__(self, keep_spans: bool = False,
                  focus_flow: Optional[int] = None,
                  max_spans: int = 200_000,
@@ -333,6 +350,8 @@ class FlowSpanBuilder:
     def observe(self, record) -> None:
         """The trace-observer callback; safe on every record kind."""
         kind = record.kind
+        if kind not in self.kinds:
+            return
         detail = record.detail
         t = record.time
         if kind == EV_FLOW_START:
@@ -505,3 +524,63 @@ class FlowSpanBuilder:
         for uid in state.inflight:
             self._uid_flow.pop(uid, None)
         state.inflight.clear()
+
+
+# ----------------------------------------------------------------------
+# One shared builder per trace recorder
+# ----------------------------------------------------------------------
+
+
+class _SharedBuilder:
+    """The builder observing one recorder and its completion subscribers."""
+
+    def __init__(self, trace) -> None:
+        self.builder = FlowSpanBuilder(on_complete=self._publish)
+        #: ``(on_complete, keep_spans)`` in subscription order.
+        self.subscribers: List[Tuple[Callable[[FlowBreakdown], None],
+                                     bool]] = []
+        trace.add_observer(self.builder.observe)
+
+    def _publish(self, breakdown: FlowBreakdown) -> None:
+        for on_complete, _ in self.subscribers:
+            on_complete(breakdown)
+
+    def _retain_spans(self) -> None:
+        self.builder.keep_spans = any(keep for _, keep in self.subscribers)
+
+
+_shared: "weakref.WeakKeyDictionary[Any, _SharedBuilder]" = (
+    weakref.WeakKeyDictionary())
+
+
+def subscribe(trace, on_complete: Callable[[FlowBreakdown], None],
+              keep_spans: bool = False) -> None:
+    """Deliver each flow breakdown built from ``trace`` to ``on_complete``.
+
+    The first subscription on a recorder attaches its shared builder as
+    a trace observer; later ones only join the completion fan-out, in
+    subscription order.  The builder retains spans (see
+    :class:`FlowSpanBuilder`) for flows starting while any subscriber
+    asks for them.
+    """
+    shared = _shared.get(trace)
+    if shared is None:
+        shared = _shared[trace] = _SharedBuilder(trace)
+    shared.subscribers.append((on_complete, keep_spans))
+    shared._retain_spans()
+
+
+def unsubscribe(trace, on_complete: Callable[[FlowBreakdown], None]) -> None:
+    """Undo one :func:`subscribe`; the last one detaches the builder."""
+    shared = _shared.get(trace)
+    if shared is None:
+        return
+    for index, (callback, _) in enumerate(shared.subscribers):
+        if callback == on_complete:
+            del shared.subscribers[index]
+            break
+    if shared.subscribers:
+        shared._retain_spans()
+    else:
+        trace.remove_observer(shared.builder.observe)
+        del _shared[trace]

@@ -47,6 +47,14 @@ DEFAULT_STALL_EVENT_LIMIT = 1_000_000
 _TIE_BREAK_STATS = {"groups": 0, "max_group": 0}
 
 
+def _callback_name(callback: Callable[..., Any]) -> str:
+    """A callback's ``__qualname__``, or its ``repr`` when it has none."""
+    try:
+        return callback.__qualname__
+    except AttributeError:
+        return repr(callback)
+
+
 def reset_tie_break_stats() -> None:
     """Zero the process-wide tie-break counters (CLIs call this once)."""
     _TIE_BREAK_STATS["groups"] = 0
@@ -339,7 +347,7 @@ class Simulator:
                 name = f"flow:{flow_id}"
             else:
                 if owner is callback:
-                    base = getattr(callback, "__qualname__", repr(callback))
+                    base = _callback_name(callback)
                 else:
                     base = type(owner).__name__
                 index = self._entity_counts.get(base, 0)
@@ -433,8 +441,7 @@ class Simulator:
                         event.time, EV_SCHED_EXEC,
                         self._event_entity(callback),
                         seq=event.seq, parent=event.parent,
-                        callback=getattr(callback, "__qualname__",
-                                         repr(callback)),
+                        callback=_callback_name(callback),
                         prio=event.priority)
                 if profiler is None:
                     event.fire()

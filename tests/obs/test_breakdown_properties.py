@@ -76,9 +76,9 @@ class TestConservationUnderChaos:
         cell = run_cell(protocol, composed_profile(recipe, seed),
                         seed=seed, n_flows=2, size=30_000,
                         audit=True, breakdown=True)
-        # Enforcement point 1: the audit checker replays every flow's
-        # lineage through its own span builder and flags any breakdown
-        # whose components fail to sum to the flow.complete FCT.
+        # Enforcement point 1: the audit checker judges every flow's
+        # breakdown from the recorder's shared span builder and flags
+        # any whose components fail to sum to the flow.complete FCT.
         conservation = [v for v in cell.violations
                         if "fct-conservation" in v]
         assert conservation == [], "\n".join(conservation)
