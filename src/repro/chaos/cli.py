@@ -9,9 +9,21 @@ or — with ``--audit`` — any invariant violation).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional
+
+from repro.parallel import (
+    FanoutPolicy,
+    WorkerEnv,
+    fanout_stats,
+    open_resume,
+    progress_plane,
+    reset_fanout_stats,
+    run_plane_parser,
+    worker_env,
+)
 
 __all__ = ["main"]
 
@@ -35,7 +47,8 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="print the chaos profile catalogue")
 
     p_sweep = sub.add_parser(
-        "sweep", help="run the protocol x profile survival matrix")
+        "sweep", help="run the protocol x profile survival matrix",
+        parents=[run_plane_parser()])
     p_sweep.add_argument("--protocols", default=None, metavar="NAMES",
                          help="comma-separated protocol subset "
                               "(default: every registered protocol)")
@@ -60,30 +73,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--json", default=None, metavar="PATH",
                          help="also write the full report (cells + "
                               "fingerprint) as JSON")
-    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker processes for the cell fan-out "
-                              "(default 1 = serial; results and "
-                              "fingerprint are identical either way)")
-    p_sweep.add_argument("--progress", nargs="?", const="-", default=None,
-                         metavar="DIR",
-                         help="live per-cell progress plane (refreshing "
-                              "status on stderr); with DIR also exports "
-                              "progress.prom and progress.jsonl there")
-    p_sweep.add_argument("--manifest", default="run_manifest.json",
-                         metavar="PATH",
-                         help="where to write the run manifest "
-                              "(default: run_manifest.json)")
-    p_sweep.add_argument("--no-manifest", action="store_true",
-                         help="skip writing the run manifest")
-    p_sweep.add_argument("--retries", type=int, default=1, metavar="N",
-                         help="total attempts per cell before it counts "
-                              "as lost (default 1 = no retry; backoff is "
-                              "deterministic)")
-    p_sweep.add_argument("--heartbeat-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="reap (SIGKILL) a cell's worker after this "
-                              "many seconds of heartbeat silence and "
-                              "retry it (default: never)")
     p_sweep.add_argument("--hedge-after", type=float, default=None,
                          metavar="SECONDS",
                          help="duplicate a straggler cell onto an idle "
@@ -94,15 +83,6 @@ def main(argv=None) -> int:
                          help="degrade instead of dying: cells that "
                               "exhaust their retry budget are reported "
                               "as MISSING and the sweep completes")
-    p_sweep.add_argument("--procfault", default=None, metavar="SPEC",
-                         help="inject harness process faults, e.g. "
-                              "'kill@1,hang@2/20,raise@3,kill%%10,seed=7' "
-                              "(deterministic; exercises the supervisor)")
-    p_sweep.add_argument("--resume", default=None, metavar="DIR",
-                         help="journal completed cells to DIR/cells.jsonl "
-                              "and replay any already recorded there — an "
-                              "interrupted sweep picks up where it left "
-                              "off, with an identical final fingerprint")
     args = parser.parse_args(argv)
 
     if args.command == "list":
@@ -112,17 +92,7 @@ def main(argv=None) -> int:
             print(f"{name:18s} {_PROFILES[name].description}")
         return 0
 
-    import contextlib
-
     from repro.chaos.sweep import run_sweep
-    from repro.parallel import (
-        CellJournal,
-        FanoutPolicy,
-        WorkerEnv,
-        fanout_stats,
-        reset_fanout_stats,
-        worker_env,
-    )
 
     manifest = None
     if not args.no_manifest:
@@ -144,24 +114,14 @@ def main(argv=None) -> int:
         hedge_after=args.hedge_after,
         quarantine=args.quarantine,
     )
-    journal = resume_lineage = None
-    if args.resume is not None:
-        journal = CellJournal(args.resume)
-        # Lineage is the journal *being resumed*: digest it before this
-        # run appends to it.
-        resume_lineage = {"journal": journal.path,
-                          "journal_digest": journal.file_digest()}
+    journal, resume_lineage = open_resume(args.resume)
 
     from repro.sim.simulator import reset_tie_break_stats, tie_break_stats
 
     reset_tie_break_stats()
     reset_fanout_stats()
     stack = contextlib.ExitStack()
-    if args.progress is not None:
-        from repro.obs import progress as progress_mod
-
-        stack.enter_context(progress_mod.plane(
-            out_dir=None if args.progress == "-" else args.progress))
+    stack.enter_context(progress_plane(args.progress))
     if args.procfault is not None:
         from repro.chaos import procfault as procfault_mod
 

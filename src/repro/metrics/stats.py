@@ -1,8 +1,8 @@
 """Statistical helpers: percentiles, CDFs, summaries.
 
 Pure functions over sequences of floats, used by every experiment to
-produce the rows and series the paper reports.  No numpy dependency so
-the core library stays stdlib-only (benchmarks may still use numpy).
+produce the rows and series the paper reports.  No numpy dependency:
+the library stays stdlib-only.
 """
 
 from __future__ import annotations

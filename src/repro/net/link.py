@@ -67,7 +67,6 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
-from repro import fastpath
 from repro.errors import ConfigurationError, SimulationError, TopologyError
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
@@ -237,12 +236,6 @@ class Link:
         self._m_chaos_drops = metrics.counter("chaos.drops")
         self._m_chaos_corrupt = metrics.counter("chaos.corrupted")
         self._m_absorbed = metrics.counter("scheduler.events_absorbed")
-        if fastpath.enabled():
-            # Zero-overhead build: bind the hook-free delivery variant
-            # (no lineage-trace guard, no telemetry instrument call) for
-            # the lifetime of this link.  The CLI refuses --fast together
-            # with every flag that would need those hooks.
-            self._deliver = self._deliver_nohook
         self.refresh_fast_path()
 
     # ------------------------------------------------------------------
@@ -801,14 +794,6 @@ class Link:
             else:
                 trace.record(self.sim.now, EV_PKT_DELIVER, self.name,
                              dst=self.dst.name, **packet.lineage_detail())
-        self.dst.receive(packet)
-
-    def _deliver_nohook(self, packet: Packet) -> None:
-        """:meth:`_deliver` for the zero-overhead build (fastpath): the
-        lineage guard and the telemetry instrument — both no-ops in any
-        configuration --fast accepts — are omitted rather than tested."""
-        self.stats.packets_delivered += 1
-        self.stats.bytes_delivered += packet.size
         self.dst.receive(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -40,8 +40,12 @@ of opaque and brittle:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, TypeVar
+import argparse
+from contextlib import contextmanager, nullcontext
+from typing import (
+    Callable, ContextManager, Dict, Iterable, Iterator, List, Optional,
+    Tuple, TypeVar,
+)
 
 from repro.obs import progress as _progress
 from repro.parallel import pool as _pool
@@ -77,8 +81,11 @@ __all__ = [
     "fanout_map",
     "fanout_stats",
     "journaling",
+    "open_resume",
+    "progress_plane",
     "reset_fanout_stats",
     "resolve_jobs",
+    "run_plane_parser",
     "supervision",
     "worker_env",
 ]
@@ -87,6 +94,82 @@ _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
 
 _DEFAULT_POLICY = FanoutPolicy()
+
+# ----------------------------------------------------------------------
+# Run-plane flags
+# ----------------------------------------------------------------------
+
+
+def run_plane_parser() -> argparse.ArgumentParser:
+    """The run-plane flags as an argparse parent parser (``parents=[...]``).
+
+    These flags steer how a sweep runs — fan-out, supervision, resume,
+    progress, manifest — not the simulation: a completed run's report
+    and fingerprint do not depend on them.
+    """
+    parser = argparse.ArgumentParser(add_help=False)
+    plane = parser.add_argument_group("run plane")
+    plane.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="worker processes for the sweep-cell fan-out "
+                            "(default 1 = serial; reports and "
+                            "fingerprints are identical either way)")
+    plane.add_argument("--progress", nargs="?", const="-", default=None,
+                       metavar="DIR",
+                       help="live per-cell progress plane (refreshing "
+                            "status on stderr); with DIR also exports "
+                            "progress.prom (Prometheus text) and "
+                            "progress.jsonl snapshots there")
+    plane.add_argument("--manifest", default="run_manifest.json",
+                       metavar="PATH",
+                       help="where to write the run manifest "
+                            "(default: run_manifest.json)")
+    plane.add_argument("--no-manifest", action="store_true",
+                       help="skip writing the run manifest")
+    plane.add_argument("--retries", type=int, default=1, metavar="N",
+                       help="total attempts per sweep cell before it "
+                            "counts as failed (default 1 = no retry; "
+                            "backoff is deterministic)")
+    plane.add_argument("--heartbeat-timeout", type=float, default=None,
+                       metavar="SECONDS",
+                       help="reap (SIGKILL) a fan-out worker after this "
+                            "many seconds of heartbeat silence and retry "
+                            "its cell (default: never)")
+    plane.add_argument("--procfault", default=None, metavar="SPEC",
+                       help="inject harness process faults into the "
+                            "fan-out, e.g. "
+                            "'kill@1,hang@2/20,raise@3,kill%%10,seed=7' "
+                            "(deterministic; exercises the shard "
+                            "supervisor)")
+    plane.add_argument("--resume", default=None, metavar="DIR",
+                       help="journal completed sweep cells to "
+                            "DIR/cells.jsonl and replay any already "
+                            "recorded there; an interrupted run resumes "
+                            "with an identical final report and "
+                            "fingerprint")
+    return parser
+
+
+def open_resume(directory: Optional[str]
+                ) -> Tuple[Optional[CellJournal], Optional[dict]]:
+    """``--resume``'s journal and its manifest lineage, or ``(None, None)``.
+
+    The lineage digests the journal *being resumed*, so it is taken
+    here, before the run appends to it.
+    """
+    if directory is None:
+        return None, None
+    journal = CellJournal(directory)
+    return journal, {"journal": journal.path,
+                     "journal_digest": journal.file_digest()}
+
+
+def progress_plane(spec: Optional[str]) -> ContextManager:
+    """The ``--progress`` plane for a flag value (``"-"``: stderr only),
+    or a null context when the flag is unset."""
+    if spec is None:
+        return nullcontext()
+    return _progress.plane(out_dir=None if spec == "-" else spec)
+
 
 # ----------------------------------------------------------------------
 # Ambient supervision policy
