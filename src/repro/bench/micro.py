@@ -63,8 +63,9 @@ def _scheduler_push_pop(n: int, seed: int) -> Tuple[float, int]:
 
 
 def _scheduler_cancel_churn(n: int, seed: int) -> Tuple[float, int]:
-    """Timer-style churn: every second event is cancelled after push —
-    the pattern RTO timers produce, and what heap compaction targets."""
+    """Cancellation churn: every second event is cancelled after push —
+    the dead-entry backlog heap compaction targets.  (RTO timers no
+    longer produce it: see ``timer_restart``.)"""
     from repro.sim.event import Event
     from repro.sim.scheduler import EventScheduler
 
@@ -82,6 +83,27 @@ def _scheduler_cancel_churn(n: int, seed: int) -> Tuple[float, int]:
     while scheduler.pop() is not None:
         pass
     return time.perf_counter() - started, 2 * n
+
+
+def _timer_restart(n: int, seed: int) -> Tuple[float, int]:
+    """An RTO-style timer restarted to a later deadline once per
+    simulated ACK: ``n`` ACK events 1 ms apart, each re-arming a 200 ms
+    timer, which re-keys the pending expiry in place."""
+    from repro.sim.simulator import Simulator
+
+    sim = Simulator(seed=seed)
+    timer = sim.timer(lambda: None, name="rto")
+    rto = 0.2
+
+    def on_ack() -> None:
+        timer.restart(rto)
+
+    for i in range(n):
+        sim.schedule(i * 0.001, on_ack)
+    timer.start(rto)
+    started = time.perf_counter()
+    sim.run()
+    return time.perf_counter() - started, n
 
 
 def _queue_ops(queue_factory, n: int, seed: int) -> Tuple[float, int]:
@@ -562,8 +584,13 @@ MICRO_BENCHMARKS: Dict[str, MicroBenchmark] = {
                        "EventScheduler.push then drain via pop",
                        _scheduler_push_pop, default_n=50_000),
         MicroBenchmark("scheduler_cancel_churn",
-                       "push with 50% lazy cancellation (RTO-timer churn)",
+                       "push with 50% lazy cancellation (dead-entry "
+                       "backlog and compaction)",
                        _scheduler_cancel_churn, default_n=50_000),
+        MicroBenchmark("timer_restart",
+                       "RTO-style timer restarted to a later deadline "
+                       "once per simulated ACK",
+                       _timer_restart, default_n=20_000),
         MicroBenchmark("queue_droptail",
                        "DropTailQueue enqueue/dequeue with tail drops",
                        _queue_droptail, default_n=50_000),

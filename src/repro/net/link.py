@@ -225,8 +225,10 @@ class Link:
         self._trace = sim.trace
         sim.watch_trace(self._rebind_trace)
         # Aggregate (all-links) telemetry; instruments resolve to no-ops
-        # when the registry is disabled.
+        # when the registry is disabled, and the per-packet counters
+        # skip even the no-op call behind the cached ``_metered`` check.
         metrics = sim.metrics
+        self._metered = metrics.enabled
         self._m_tx_packets = metrics.counter("link.tx_packets")
         self._m_tx_bytes = metrics.counter("link.tx_bytes")
         self._m_delivered_bytes = metrics.counter("link.delivered_bytes")
@@ -266,8 +268,8 @@ class Link:
             and not self._trace.enabled
             and not self._impairments
             and not self.monitored
-            and type(self.queue) is DropTailQueue
-            and not self.queue.monitored
+            and type(self._queue) is DropTailQueue
+            and not self._queue.monitored
         )
         # Bind the admission path directly as this link's ``send``: one
         # call layer less per offered packet on the hottest edges.  The
@@ -382,7 +384,7 @@ class Link:
         self._admit(packet)
 
     def _admit(self, packet: Packet) -> None:
-        if not self.queue.enqueue(packet):
+        if not self._queue.enqueue(packet):
             self.sim.note_drop(packet.flow_id)
             self._m_queue_drops.inc()
             self._m_queue_drop_bytes.inc(packet.size)
@@ -417,7 +419,7 @@ class Link:
         two pushes coincide to the exact float instant.
         """
         pending = self._pending
-        queue = self.queue
+        queue = self._queue
         released = queue.pending_bytes
         while pending:
             start, size, dq_push = pending[0]
@@ -473,8 +475,6 @@ class Link:
             stats = self.stats
             stats.packets_sent += 1
             stats.bytes_sent += size
-            self._m_tx_packets.inc()
-            self._m_tx_bytes.inc(size)
             self._busy_until = finish
             self._last_start = now
             absorbed = 1  # the finish_transmission event this replaces
@@ -487,7 +487,10 @@ class Link:
                 absorbed += self._plan_delivery(packet, size,
                                                 finish + self.delay, finish)
             sim.events_absorbed += absorbed
-            self._m_absorbed.inc(absorbed)
+            if self._metered:
+                self._m_tx_packets.inc()
+                self._m_tx_bytes.inc(size)
+                self._m_absorbed.inc(absorbed)
             return
         if not queue.enqueue(packet):
             sim.note_drop(packet.flow_id)
@@ -509,7 +512,8 @@ class Link:
             # fire, so it counts against the absorbed total.
             self._restart_pending = True
             sim.events_absorbed -= 1
-            self._m_absorbed.inc(-1)
+            if self._metered:
+                self._m_absorbed.inc(-1)
             # Back-date to the instant the unbatched finish(last) event
             # was pushed (the last planned packet's start), so same-
             # instant races against queued arrivals order identically.
@@ -520,7 +524,7 @@ class Link:
         self._restart_pending = False
         sim = self.sim
         self._prune_pending(sim._now, sim.exec_lpush)
-        if self.queue._packets:
+        if self._queue._packets:
             self._start_train()
 
     def _start_train(self, packets=None) -> None:
@@ -581,10 +585,11 @@ class Link:
         queue.pending_bytes = pend_bytes
         stats.packets_sent += count
         stats.bytes_sent += sent_bytes
-        self._m_tx_packets.inc(count)
-        self._m_tx_bytes.inc(sent_bytes)
         sim.events_absorbed += absorbed
-        self._m_absorbed.inc(absorbed)
+        if self._metered:
+            self._m_tx_packets.inc(count)
+            self._m_tx_bytes.inc(sent_bytes)
+            self._m_absorbed.inc(absorbed)
 
     def _plan_delivery(self, p: Packet, size: int, arrival: float,
                        push_t: float) -> int:
@@ -599,6 +604,7 @@ class Link:
         """
         sim = self.sim
         schedule_fast = sim.schedule_fast
+        metered = self._metered
         absorbed = 0
         cur = self
         hop_dst = self.dst
@@ -617,7 +623,7 @@ class Link:
                 schedule_fast(arrival, cur._deliver_forward, p, nxt,
                               lpush=push_t)
                 break
-            queue2 = nxt.queue
+            queue2 = nxt._queue
             if (nxt._inbound_pending or queue2._packets
                     or nxt._restart_pending
                     or arrival < nxt._busy_until
@@ -637,7 +643,6 @@ class Link:
                     f"routing loop detected for {p.describe()}")
             cur.stats.packets_delivered += 1
             cur.stats.bytes_delivered += size
-            cur._m_delivered_bytes.inc(size)
             qstats = queue2.stats
             qstats.enqueued += 1
             qstats.bytes_enqueued += size
@@ -652,8 +657,10 @@ class Link:
             nstats = nxt.stats
             nstats.packets_sent += 1
             nstats.bytes_sent += size
-            nxt._m_tx_packets.inc()
-            nxt._m_tx_bytes.inc(size)
+            if metered:
+                cur._m_delivered_bytes.inc(size)
+                nxt._m_tx_packets.inc()
+                nxt._m_tx_bytes.inc(size)
             # cur's deliver event + nxt's finish event, both absorbed.
             absorbed += 2
             rng2 = nxt._loss_rng
@@ -683,7 +690,8 @@ class Link:
         stats = self.stats
         stats.packets_delivered += 1
         stats.bytes_delivered += size
-        self._m_delivered_bytes.inc(size)
+        if self._metered:
+            self._m_delivered_bytes.inc(size)
         trace = self._trace
         if trace.lineage:
             if packet.corrupted:
@@ -707,42 +715,52 @@ class Link:
 
     # ------------------------------------------------------------------
 
+    # The per-packet events below are never cancelled or inspected, so
+    # they are scheduled handle-free; every delay is non-negative.
+
     def _start_transmission(self) -> None:
-        packet = self.queue.dequeue()
+        packet = self._queue.dequeue()
         if packet is None:
             self._busy = False
             return
         self._busy = True
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.size
-        self._m_tx_packets.inc()
-        self._m_tx_bytes.inc(packet.size)
-        transmission_time = self.transmission_time(packet)
+        size = packet.size
+        stats = self.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += size
+        if self._metered:
+            self._m_tx_packets.inc()
+            self._m_tx_bytes.inc(size)
+        transmission_time = size / self.rate
+        sim = self.sim
+        now = sim._now
         trace = self._trace
         if trace.lineage:
             # ``ser`` (schema v4): span consumers need where serialization
             # ends inside the tx -> deliver window, and the rate may have
             # changed by delivery time (chaos bandwidth modulation).
-            trace.record(self.sim.now, EV_PKT_TX, self.name,
+            trace.record(now, EV_PKT_TX, self.name,
                          ser=transmission_time, **packet.lineage_detail())
-        self.sim.schedule(transmission_time, self._finish_transmission, packet)
+        sim.schedule_fast(now + transmission_time, self._finish_transmission,
+                          packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
+        sim = self.sim
         if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
             self.stats.packets_lost_inflight += 1
             self._m_inflight_loss.inc()
-            self.sim.note_drop(packet.flow_id)
+            sim.note_drop(packet.flow_id)
             self._trace.record(
-                self.sim.now, EV_LINK_LOSS, self.name,
+                sim._now, EV_LINK_LOSS, self.name,
                 packet=packet.describe(), uid=packet.uid,
             )
         elif self._impairments:
             self._finish_impaired(packet)
         else:
-            self.sim.schedule(self.delay, self._deliver, packet)
+            sim.schedule_fast(sim._now + self.delay, self._deliver, packet)
         # Keep the pipe full: start the next packet immediately.
         self._busy = False
-        if len(self.queue):
+        if len(self._queue):
             self._start_transmission()
 
     def _finish_impaired(self, packet: Packet) -> None:
@@ -776,12 +794,16 @@ class Link:
                     packet=packet.describe(), uid=packet.uid,
                     chaos=impairment.name,
                 )
-        self.sim.schedule(self.delay + extra_delay, self._deliver, packet)
+        sim = self.sim
+        sim.schedule_fast(sim._now + (self.delay + extra_delay),
+                          self._deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:
-        self.stats.packets_delivered += 1
-        self.stats.bytes_delivered += packet.size
-        self._m_delivered_bytes.inc(packet.size)
+        stats = self.stats
+        stats.packets_delivered += 1
+        stats.bytes_delivered += packet.size
+        if self._metered:
+            self._m_delivered_bytes.inc(packet.size)
         trace = self._trace
         if trace.lineage:
             # ``corrupted`` matters to the auditor: a corrupted ACK is

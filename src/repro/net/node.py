@@ -131,7 +131,15 @@ class Host(Node):
                 retransmit=packet.retransmit,
                 proactive=packet.proactive, **packet.lineage_detail(),
             )
-        self.forward(packet)
+        # forward() -> route_for() -> send(), inlined: every segment and
+        # ACK a transport endpoint emits enters the network here.
+        packet.hops += 1
+        if packet.hops > 64:
+            raise TopologyError(f"routing loop detected for {packet.describe()}")
+        link = self.routes.get(packet.dst)
+        if link is None:
+            raise TopologyError(f"{self.name}: no route to {packet.dst!r}")
+        link.send(packet)
 
     def receive(self, packet: Packet) -> None:
         if packet.dst != self.name:

@@ -18,8 +18,15 @@ between train-planned deliveries and ordinary events resolve exactly as
 the per-packet execution would have resolved them.
 
 Cancellation is *lazy*: cancelling marks the event dead and the scheduler
-discards it when popped.  This keeps cancellation O(1), which matters for
-retransmission timers that are rescheduled on every ACK.
+discards it when popped, which keeps cancellation O(1).
+
+A pending event can also be *re-keyed* in place to a strictly later time
+(:meth:`Event.rekey`): it takes the key a fresh schedule would have had
+(new ``time``, ``lpush`` and ``seq``) while its heap entry keeps the old,
+smaller one.  The scheduler re-files such a stale entry when it surfaces
+(a lazy increase-key), so a retransmission timer restarted on every ACK
+costs a few attribute writes instead of a dead heap entry plus a fresh
+event per ACK.
 """
 
 from __future__ import annotations
@@ -72,6 +79,23 @@ class Event:
         # they wait in the heap.
         self.callback = None
         self.args = ()
+
+    def rekey(self, time: float, lpush: float,
+              parent: Optional[int]) -> None:
+        """Move this pending event to ``time`` in place, stamping it as
+        a fresh schedule made now would be: ``lpush``, the next global
+        ``seq`` and the provenance ``parent``.
+
+        ``time`` must be *strictly later* than the event's current
+        ``time``: only then is the new heap key larger than the entry
+        already queued under every tie-break (FIFO or permuted), which is
+        what lets the scheduler re-file the stale entry lazily when it
+        surfaces.
+        """
+        self.time = time
+        self.lpush = lpush
+        self.seq = next(_sequence)
+        self.parent = parent
 
     def fire(self) -> None:
         """Run the callback (no-op if cancelled)."""

@@ -28,15 +28,24 @@ is a genuine execution-order sensitivity.  The ambient salt
 construction; the default scheduler's hot path is untouched.
 
 Cancellation is lazy (O(1)): cancelled events stay in the heap until
-popped.  Timer-heavy workloads — an RTO timer restarted on every ACK —
-can therefore grow a large backlog of dead entries that every push/pop
-still pays log-time for.  The scheduler *compacts* the heap (filter +
-re-heapify, O(n)) once the cancelled backlog is both large in absolute
-terms and the majority of the heap; amortized against the cancellations
-that created the backlog this is O(1) per cancellation.  The backlog is
-published through :attr:`backlog_gauge` (``scheduler.cancelled_backlog``
-when a telemetry session is active) so the performance observatory can
-see the churn.
+popped.  A timer restarted to a *later* deadline — an RTO timer on every
+ACK — does not cancel at all: :meth:`Event.rekey` moves the event in
+place and leaves its heap entry holding the old, smaller key.  Every
+entry's stored ``seq`` is compared with its event's on the way out;
+a mismatch marks a stale entry, which is re-filed under the event's
+current key (a lazy increase-key).  A stale key never exceeds the live
+one, so the head entry, once current, is still the true minimum.  Only
+restarts that do not move the deadline later cancel and reschedule, so
+the cancelled backlog stays small on ACK-clocked workloads.
+
+Dead entries left by cancellations still cost log-time on every
+push/pop, so the scheduler *compacts* the heap (filter + re-heapify,
+O(n), in place) once the cancelled backlog is both large in absolute
+terms and the majority of the heap; amortized against the
+cancellations that created the backlog this is O(1) per cancellation.
+The backlog is published through :attr:`backlog_gauge`
+(``scheduler.cancelled_backlog`` when a telemetry session is active) so
+the performance observatory can see the churn.
 """
 
 from __future__ import annotations
@@ -134,48 +143,60 @@ class EventScheduler:
         #: empty call when telemetry is off.
         self.backlog_gauge = NULL_METRIC
 
+    @staticmethod
+    def entry(event: Event) -> _Entry:
+        """The heap entry filing ``event`` under its current key."""
+        return (event.time, event.priority, event.lpush, event.seq, event)
+
     def push(self, event: Event) -> None:
         """Insert an event into the queue."""
+        # entry(event), inlined: push is the scheduler's hottest call.
         heapq.heappush(
             self._heap,
             (event.time, event.priority, event.lpush, event.seq, event),
         )
         self._live += 1
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or None if empty.
+    def settle(self) -> Optional[_Entry]:
+        """Bring the next live event's current entry to the heap head
+        and return it, or None when no live event is queued.
 
-        Cancelled events encountered on the way are discarded.
+        Cancelled heads are discarded; a head whose event was re-keyed
+        since it was filed (its stored ``seq`` no longer matches) is
+        re-filed under the event's current key.
         """
         discarded = 0
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[-1]
+            entry = heap[0]
+            event = entry[-1]
             if event.cancelled:
+                heapq.heappop(heap)
                 discarded += 1
-                continue
-            if discarded:
-                self._note_discarded(discarded)
-            self._live -= 1
-            return event
-        self._live = 0
+            elif entry[3] != event.seq:
+                heapq.heapreplace(heap, self.entry(event))
+            else:
+                break
+        else:
+            entry = None
+            self._live = 0
         if discarded:
             self._note_discarded(discarded)
-        return None
+        return entry
+
+    def pop(self) -> Optional[Event]:
+        """Remove and return the next live event, or None if empty."""
+        entry = self.settle()
+        if entry is None:
+            return None
+        heapq.heappop(self._heap)
+        self._live -= 1
+        return entry[-1]
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next live event without popping."""
-        discarded = 0
-        heap = self._heap
-        while heap and heap[0][-1].cancelled:
-            heapq.heappop(heap)
-            discarded += 1
-        if discarded:
-            self._note_discarded(discarded)
-        if not heap:
-            self._live = 0
-            return None
-        return heap[0][0]
+        entry = self.settle()
+        return None if entry is None else entry[0]
 
     def note_cancelled(self) -> None:
         """Record that one queued event was cancelled (for __len__ and
@@ -207,9 +228,11 @@ class EventScheduler:
             return
         if self._cancelled <= self.compact_fraction * len(self._heap):
             return
-        self._heap = [entry for entry in self._heap
-                      if not entry[-1].cancelled]
-        heapq.heapify(self._heap)
+        # In place: the simulator's run loop holds a reference to the
+        # heap list across callbacks that may trigger compaction.
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[-1].cancelled]
+        heapq.heapify(heap)
         self._cancelled = 0
         self.compactions += 1
         self.backlog_gauge.set(0)
@@ -235,10 +258,13 @@ class EventScheduler:
     def snapshot(self, limit: int = 10) -> List[str]:
         """Render the next ``limit`` live events (for stall diagnostics).
 
+        Events are ordered by their *current* key, not by the raw heap
+        entry, which for a re-keyed timer still holds its stale key.
         O(n log n) over the raw heap — diagnostic-path only, never called
         while the simulator is healthy.
         """
-        live = sorted(e for e in self._heap if not e[-1].cancelled)
+        live = sorted(self.entry(e[-1]) for e in self._heap
+                      if not e[-1].cancelled)
         out = [self.render_event(entry[-1]) for entry in live[:limit]]
         remaining = len(live) - limit
         if remaining > 0:
@@ -299,14 +325,15 @@ class PermutedEventScheduler(EventScheduler):
         # in the process already consumed.
         self._seq_base: Optional[int] = None
 
-    def push(self, event: Event) -> None:
-        """Insert an event, keyed by the salted tie-break scramble."""
+    def entry(self, event: Event) -> _Entry:
+        """The heap entry filing ``event`` under the salted scramble."""
         if self._seq_base is None:
             self._seq_base = event.seq
-        heapq.heappush(
-            self._heap,
-            (event.time, event.priority,
-             _mix(event.seq - self._seq_base, self.salt),
-             event.seq, event),
-        )
+        return (event.time, event.priority,
+                _mix(event.seq - self._seq_base, self.salt),
+                event.seq, event)
+
+    def push(self, event: Event) -> None:
+        """Insert an event, keyed by the salted tie-break scramble."""
+        heapq.heappush(self._heap, self.entry(event))
         self._live += 1

@@ -12,6 +12,7 @@ similar patterns where the same logical timer is re-armed many times.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import SimulationError, StallError
@@ -302,10 +303,16 @@ class Simulator:
         have occupied.  Defaults to ``now`` (ordinary FIFO semantics).
         """
         event = Event(time, callback, args)
-        event.lpush = self._now if lpush is None else lpush
+        event.lpush = lpush = self._now if lpush is None else lpush
         if self._prov:
             event.parent = self._exec_seq
-        self._queue.push(event)
+        queue = self._queue
+        if self.tiebreak_salt is None:
+            # The FIFO entry layout (EventScheduler.entry), pushed inline.
+            heappush(queue._heap, (time, 0, lpush, event.seq, event))
+            queue._live += 1
+        else:
+            queue.push(event)
 
     # ------------------------------------------------------------------
     # Happens-before provenance
@@ -392,6 +399,8 @@ class Simulator:
         profiler = self.profiler
         stall_limit = self.stall_event_limit
         prov = self._refresh_provenance()
+        queue = self._queue
+        heap = queue._heap
         if profiler is not None:
             profiler.begin_run()
         try:
@@ -400,21 +409,30 @@ class Simulator:
                     break
                 if max_events is not None and fired >= max_events:
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
+                # Inline EventScheduler.pop: the head entry is taken as
+                # is when it is live and current; settle() discards a
+                # cancelled head or re-files a re-keyed one.
+                if not heap:
+                    queue.settle()
                     break
-                if until is not None and next_time > until:
+                entry = heap[0]
+                event = entry[4]
+                if event.cancelled or entry[3] != event.seq:
+                    if queue.settle() is None:
+                        break
+                    continue
+                time = entry[0]
+                if until is not None and time > until:
                     break
-                event = self._queue.pop()
-                if event is None:  # pragma: no cover - raced cancellation
-                    break
-                self._now = event.time
+                heappop(heap)
+                queue._live -= 1
+                self._now = time
                 self.exec_lpush = event.lpush
                 # The same-instant counter doubles as the stall watchdog
                 # and the tie-break exposure accounting: every group of
                 # two or more events at one instant is a point where the
                 # scheduler's tie-break chose an execution order.
-                if event.time == self._stall_time:
+                if time == self._stall_time:
                     self._stall_count += 1
                     if self._stall_count == 2:
                         self.tie_break_groups += 1
@@ -426,32 +444,31 @@ class Simulator:
                         # snapshot), and in a tight zero-delay cycle
                         # it IS the loop.
                         raise StallError(
-                            event.time, self._stall_count,
-                            ["firing: "
-                             + self._queue.render_event(event)]
-                            + self._queue.snapshot(),
+                            time, self._stall_count,
+                            ["firing: " + queue.render_event(event)]
+                            + queue.snapshot(),
                         )
                 else:
-                    self._stall_time = event.time
+                    self._stall_time = time
                     self._stall_count = 1
                 if prov:
                     self._exec_seq = event.seq
                     callback = event.callback
                     self._trace.record(
-                        event.time, EV_SCHED_EXEC,
+                        time, EV_SCHED_EXEC,
                         self._event_entity(callback),
                         seq=event.seq, parent=event.parent,
                         callback=_callback_name(callback),
                         prio=event.priority)
                 if profiler is None:
-                    event.fire()
+                    event.callback(*event.args)
                 else:
                     callback = event.callback
                     started = profiler.clock()
-                    event.fire()
+                    callback(*event.args)
                     profiler.on_event(callback,
                                       profiler.clock() - started,
-                                      self._queue.heap_depth)
+                                      queue.heap_depth)
                 self.events_run += 1
                 fired += 1
         except BaseException as exc:
@@ -471,23 +488,11 @@ class Simulator:
         return self._now
 
     def step(self) -> bool:
-        """Run exactly one event.  Returns False if the queue was empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._now = event.time
-        self.exec_lpush = event.lpush
-        profiler = self.profiler
-        if profiler is None:
-            event.fire()
-        else:
-            callback = event.callback
-            started = profiler.clock()
-            event.fire()
-            profiler.on_event(callback, profiler.clock() - started,
-                              self._queue.heap_depth)
-        self.events_run += 1
-        return True
+        """Run exactly one event (``run(max_events=1)``).  Returns False
+        if the queue was empty."""
+        before = self.events_run
+        self.run(max_events=1)
+        return self.events_run != before
 
     def _publish_tie_breaks(self) -> None:
         """Fold this simulator's tie-break counters into the process-wide
@@ -531,8 +536,8 @@ class _TrackedHandle(EventHandle):
 class Timer:
     """A restartable one-shot timer.
 
-    Used for retransmission timeouts: ``restart(rto)`` cancels any pending
-    expiry and arms a new one.  The callback takes no arguments.
+    Used for retransmission timeouts: ``restart(rto)`` replaces any
+    pending expiry with a new one.  The callback takes no arguments.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = "") -> None:
@@ -563,7 +568,27 @@ class Timer:
         self._handle = self._sim.schedule(delay, self._fire)
 
     def restart(self, delay: float) -> None:
-        """Cancel any pending expiry and arm a new one."""
+        """Replace any pending expiry with one ``delay`` seconds from now.
+
+        A deadline strictly later than the pending one (the ACK-clocked
+        RTO case) re-keys the pending event in place
+        (:meth:`~repro.sim.event.Event.rekey`); it is stamped exactly as
+        the cancel-and-schedule below would stamp a fresh event, so the
+        firing order and every provenance record are unchanged.  An
+        earlier or equal deadline cancels and schedules: a permuted
+        tie-break key is not monotone in ``seq``, so only a later time
+        guarantees the queued entry's key is the smaller one.
+        """
+        handle = self._handle
+        if handle is not None:
+            event = handle._event
+            sim = self._sim
+            now = sim._now
+            time = now + delay
+            if time > event.time and not event.cancelled:
+                event.rekey(time, now,
+                            sim._exec_seq if sim._prov else None)
+                return
         self.cancel()
         self.start(delay)
 

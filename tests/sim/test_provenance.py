@@ -69,6 +69,45 @@ class TestProvenanceOn:
         (record,) = trace.records(EV_SCHED_EXEC)
         assert record.detail["parent"] is None
 
+    def test_step_records_like_run_one_event(self):
+        """``step()`` is ``run(max_events=1)``: same ``sched.exec``
+        records, child ``parent`` stamps and tie-break counts."""
+
+        def drive(advance):
+            sim, trace = provenance_sim()
+            parents = []
+
+            def parent():
+                parents.append(sim.schedule(0.5, child)._event.parent)
+
+            def child():
+                pass
+
+            sim.schedule(1.0, parent)
+            sim.schedule(1.0, child)
+            while advance(sim):
+                pass
+            records = trace.records(EV_SCHED_EXEC)
+            base = records[0].detail["seq"]
+
+            def rel(seq):
+                return None if seq is None else seq - base
+
+            return ([(r.time, r.source, rel(r.detail["seq"]),
+                      rel(r.detail["parent"]), r.detail["callback"])
+                     for r in records],
+                    [rel(p) for p in parents], sim.tie_break_groups)
+
+        def run_one(sim):
+            before = sim.events_run
+            sim.run(max_events=1)
+            return sim.events_run != before
+
+        stepped = drive(Simulator.step)
+        assert stepped == drive(run_one)
+        assert len(stepped[0]) == 3
+        assert stepped[1] == [0]
+
     def test_flag_flip_takes_effect_on_next_run(self):
         trace = TraceRecorder(enabled=True)
         sim = Simulator(trace=trace)

@@ -152,19 +152,21 @@ def test_random_interleaving_preserves_order_and_accounting(ops):
 
 
 @given(st.lists(st.tuples(st.sampled_from(["push", "pop", "peek", "cancel",
-                                           "churn"]),
+                                           "churn", "rekey"]),
                           st.floats(min_value=0.0, max_value=100.0,
                                     allow_nan=False),
                           st.integers(min_value=-3, max_value=3),
                           st.integers(min_value=0, max_value=10**6)),
                 max_size=300))
 def test_mixed_peek_pop_cancel_compaction_interleavings(ops):
-    """peek/pop/cancel under maximally-eager compaction.
+    """peek/pop/cancel/rekey under maximally-eager compaction.
 
     ``churn`` (push + immediate cancel) feeds the compactor dead
     entries; with ``compact_min=2`` compaction fires constantly, so
     this checks that it never disturbs ``peek_time``, pop order,
-    ``__len__`` exactness, or backlog accounting mid-stream.
+    ``__len__`` exactness, or backlog accounting mid-stream.  ``rekey``
+    moves a live event to a later time in place, leaving a stale heap
+    entry that pop and peek must re-file before trusting the head.
     """
     queue = EventScheduler(compact_min=2)
     model = []  # live events, insertion order
@@ -186,6 +188,9 @@ def test_mixed_peek_pop_cancel_compaction_interleavings(ops):
             victim = model.pop(pick % len(model))
             victim.cancel()
             queue.note_cancelled()
+        elif op == "rekey" and model:
+            victim = model[pick % len(model)]
+            victim.rekey(victim.time + 1.0 + time_, 0.0, None)
         elif op == "peek":
             expected = (min(model, key=sort_key).time if model else None)
             assert queue.peek_time() == expected
